@@ -1,7 +1,8 @@
 /**
  * @file
  * Google-benchmark microbenchmarks for the library's hot paths: SOM
- * training, BMU search, agglomerative clustering, hierarchical means
+ * training, BMU search, agglomerative clustering (including the
+ * 1000-workload fleet size), pairwise distances, hierarchical means
  * and the synthetic substrates.
  */
 
@@ -67,7 +68,44 @@ BM_Agglomerate(benchmark::State &state)
         benchmark::DoNotOptimize(d.merges());
     }
 }
-BENCHMARK(BM_Agglomerate)->Arg(13)->Arg(50)->Arg(150);
+BENCHMARK(BM_Agglomerate)->Arg(13)->Arg(50)->Arg(150)->Arg(1000);
+
+/** n points on the 13 x 14 integer grid of a fleet's SOM map. */
+linalg::Matrix
+gridData(std::size_t n, std::uint64_t seed)
+{
+    rng::Engine engine(seed);
+    linalg::Matrix m(n, 2);
+    for (std::size_t r = 0; r < n; ++r) {
+        m(r, 0) = static_cast<double>(engine.below(13));
+        m(r, 1) = static_cast<double>(engine.below(14));
+    }
+    return m;
+}
+
+void
+BM_AgglomerateGrid(benchmark::State &state)
+{
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const linalg::Matrix data = gridData(n, 3);
+    for (auto _ : state) {
+        auto d = cluster::agglomerate(data, cluster::Linkage::Complete);
+        benchmark::DoNotOptimize(d.merges());
+    }
+}
+BENCHMARK(BM_AgglomerateGrid)->Arg(1000)->Unit(benchmark::kMillisecond);
+
+void
+BM_PairwiseDistances(benchmark::State &state)
+{
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const linalg::Matrix data = gridData(n, 3);
+    for (auto _ : state) {
+        auto dist = linalg::pairwiseDistances(data);
+        benchmark::DoNotOptimize(dist(0, n - 1));
+    }
+}
+BENCHMARK(BM_PairwiseDistances)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 void
 BM_HierarchicalMean(benchmark::State &state)

@@ -7,9 +7,23 @@
  * new cluster, reducing the number of clusters by one each time. The
  * algorithm proceeds until all the points result in a single cluster."
  *
- * Cluster-to-cluster distances are maintained with the Lance-Williams
- * recurrence; ties on the minimum distance are broken by the smallest
- * (left, right) node-id pair so results are fully deterministic.
+ * Merge order. Live pairs are ordered exactly by (height, min node id,
+ * max node id): the lowest pair merges first, and equal heights go to
+ * the smaller node-id pair. Leaves are nodes 0..n-1 and merge s creates
+ * node n+s, so the order is total and results are fully deterministic.
+ * Heights are compared as doubles with no tolerance; complete and
+ * single linkage merge with exact max / min (see linkage.h), so equal
+ * input distances stay equal heights and tie exactly.
+ *
+ * Algorithm. The generic nearest-neighbour-cache algorithm (Muellner
+ * 2011, as in fastcluster): each live slot i caches its best partner
+ * among live slots j > i. A merge takes the smallest cached key in one
+ * pass over the rows, updates the distances to the merged cluster,
+ * rescans the merged row and every row whose cached partner was one of
+ * the two merged slots, and checks each other row's new pair against
+ * its cached key. That is O(n^2) time on typical inputs (O(n^3) worst
+ * case, when many rows cache the same partner) and O(n^2) memory for
+ * the distance matrix.
  */
 
 #ifndef HIERMEANS_CLUSTER_AGGLOMERATIVE_H
@@ -37,8 +51,11 @@ Dendrogram agglomerate(const linalg::Matrix &points,
 /**
  * Cluster from a precomputed symmetric pairwise distance matrix with a
  * zero diagonal. Useful when distances come from a non-vector source.
+ * The entries above the diagonal are used; those below must agree with
+ * them within 1e-12. The matrix is taken by value and becomes the
+ * working matrix, so a caller that passes an rvalue saves an n x n copy.
  */
-Dendrogram agglomerateFromDistances(const linalg::Matrix &distances,
+Dendrogram agglomerateFromDistances(linalg::Matrix distances,
                                     Linkage linkage = Linkage::Complete);
 
 } // namespace cluster

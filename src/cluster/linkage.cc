@@ -1,5 +1,6 @@
 #include "src/cluster/linkage.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/util/error.h"
@@ -88,6 +89,24 @@ updateDistance(const LanceWilliams &lw, double d_ki, double d_kj,
 {
     return lw.alphaI * d_ki + lw.alphaJ * d_kj + lw.beta * d_ij +
            lw.gamma * std::abs(d_ki - d_kj);
+}
+
+double
+mergedDistance(Linkage linkage, std::size_t size_i, std::size_t size_j,
+               std::size_t size_k, double d_ki, double d_kj, double d_ij)
+{
+    switch (linkage) {
+      case Linkage::Single:
+        return std::min(d_ki, d_kj);
+      case Linkage::Complete:
+        return std::max(d_ki, d_kj);
+      case Linkage::Average:
+      case Linkage::Weighted:
+      case Linkage::Ward:
+        break;
+    }
+    return updateDistance(lanceWilliams(linkage, size_i, size_j, size_k),
+                          d_ki, d_kj, d_ij);
 }
 
 bool

@@ -5,11 +5,20 @@
  * The paper chooses complete linkage: "we chose it to be the distance
  * of the furthest pair of points from each cluster,
  * d(w_i, w_j) = max_{x in w_i, y in w_j} d(x, y)". The other criteria
- * support the linkage ablation study. All are implemented through the
- * Lance-Williams recurrence, which updates cluster distances after a
- * merge without revisiting the raw points:
+ * support the linkage ablation study.
+ *
+ * After clusters i and j merge, mergedDistance() gives the distance from
+ * every other cluster k to i+j without revisiting the raw points.
+ * Complete and single linkage take the exact max / min of d(k,i) and
+ * d(k,j), so every merge height is one of the input point distances,
+ * bit for bit. Average, weighted and Ward use the Lance-Williams
+ * recurrence:
  *
  *   d(k, i+j) = a_i d(k,i) + a_j d(k,j) + b d(i,j) + g |d(k,i) - d(k,j)|
+ *
+ * (In floating point the recurrence's complete/single coefficients can
+ * land an ulp away from the max / min, which is why those two do not
+ * use it.)
  */
 
 #ifndef HIERMEANS_CLUSTER_LINKAGE_H
@@ -59,6 +68,15 @@ LanceWilliams lanceWilliams(Linkage linkage, std::size_t size_i,
  */
 double updateDistance(const LanceWilliams &lw, double d_ki, double d_kj,
                       double d_ij);
+
+/**
+ * Distance from cluster k to the merged cluster (i+j): exact
+ * std::max / std::min of @p d_ki and @p d_kj for complete / single
+ * linkage, the Lance-Williams recurrence for the other criteria.
+ */
+double mergedDistance(Linkage linkage, std::size_t size_i,
+                      std::size_t size_j, std::size_t size_k, double d_ki,
+                      double d_kj, double d_ij);
 
 /**
  * True when the linkage guarantees monotonically non-decreasing merge

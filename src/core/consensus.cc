@@ -1,6 +1,7 @@
 #include "src/core/consensus.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/util/error.h"
 
@@ -56,7 +57,7 @@ consensusCluster(const std::vector<scoring::Partition> &partitions,
     }
 
     cluster::Dendrogram dendrogram = cluster::agglomerateFromDistances(
-        dist, cluster::Linkage::Complete);
+        std::move(dist), cluster::Linkage::Complete);
 
     std::size_t pairs = 0, unanimous = 0;
     for (std::size_t i = 0; i < n; ++i) {

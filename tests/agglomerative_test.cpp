@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <cmath>
-
+#include <cstring>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "src/cluster/agglomerative.h"
 #include "src/util/error.h"
@@ -21,6 +23,112 @@ using hiermeans::InvalidArgument;
 using hiermeans::linalg::Matrix;
 using hiermeans::linalg::Vector;
 using hiermeans::scoring::Partition;
+
+/**
+ * Reference agglomeration: rescan every live pair before each merge and
+ * take the smallest (height, min node id, max node id), with the same
+ * slot convention and distance update as the library. O(n^3).
+ */
+std::vector<Merge>
+oracleMerges(const Matrix &distances, Linkage linkage)
+{
+    const std::size_t n = distances.rows();
+    Matrix work = distances;
+    std::vector<std::size_t> node_id(n);
+    std::vector<std::size_t> size(n, 1);
+    std::vector<bool> alive(n, true);
+    for (std::size_t i = 0; i < n; ++i)
+        node_id[i] = i;
+    std::vector<Merge> merges;
+    for (std::size_t step = 0; step + 1 < n; ++step) {
+        std::tuple<double, std::size_t, std::size_t> best;
+        std::size_t bi = n, bj = n;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (!alive[i])
+                continue;
+            for (std::size_t j = i + 1; j < n; ++j) {
+                if (!alive[j])
+                    continue;
+                const auto [lo, hi] = std::minmax(node_id[i], node_id[j]);
+                const auto key = std::make_tuple(work(i, j), lo, hi);
+                if (bi == n || key < best) {
+                    best = key;
+                    bi = i;
+                    bj = j;
+                }
+            }
+        }
+        merges.push_back(Merge{std::get<1>(best), std::get<2>(best),
+                               std::get<0>(best), size[bi] + size[bj]});
+        for (std::size_t k = 0; k < n; ++k) {
+            if (!alive[k] || k == bi || k == bj)
+                continue;
+            const double d =
+                mergedDistance(linkage, size[bi], size[bj], size[k],
+                               work(k, bi), work(k, bj), work(bi, bj));
+            work(k, bi) = d;
+            work(bi, k) = d;
+        }
+        size[bi] += size[bj];
+        alive[bj] = false;
+        node_id[bi] = n + step;
+    }
+    return merges;
+}
+
+/** Bit-for-bit comparison of two merge lists (heights via memcmp). */
+::testing::AssertionResult
+sameMerges(const std::vector<Merge> &expected,
+           const std::vector<Merge> &actual)
+{
+    if (expected.size() != actual.size())
+        return ::testing::AssertionFailure()
+               << expected.size() << " vs " << actual.size() << " merges";
+    for (std::size_t s = 0; s < expected.size(); ++s) {
+        const Merge &e = expected[s];
+        const Merge &a = actual[s];
+        if (e.left != a.left || e.right != a.right || e.size != a.size ||
+            std::memcmp(&e.height, &a.height, sizeof(double)) != 0)
+            return ::testing::AssertionFailure()
+                   << "merge " << s << ": expected (" << e.left << ", "
+                   << e.right << ", " << e.height << ", " << e.size
+                   << "), got (" << a.left << ", " << a.right << ", "
+                   << a.height << ", " << a.size << ")";
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/**
+ * Seeded input: n in [2, 60] points in 1-3 dimensions, either uniform
+ * reals or small integer grid coordinates (many exactly tied distances).
+ */
+Matrix
+randomInput(std::uint64_t seed, bool grid)
+{
+    hiermeans::rng::Engine engine(seed);
+    const std::size_t n = 2 + engine.below(59);
+    const std::size_t dims = 1 + engine.below(3);
+    const std::size_t side = 2 + engine.below(6);
+    Matrix points(n, dims);
+    for (std::size_t r = 0; r < n; ++r)
+        for (std::size_t c = 0; c < dims; ++c)
+            points(r, c) = grid ? static_cast<double>(engine.below(side))
+                                : engine.uniform(-5.0, 5.0);
+    return points;
+}
+
+/** n points on a 13 x 14 integer grid, the size of a fleet's SOM map. */
+Matrix
+fleetGrid(std::size_t n, std::uint64_t seed)
+{
+    hiermeans::rng::Engine engine(seed);
+    Matrix points(n, 2);
+    for (std::size_t r = 0; r < n; ++r) {
+        points(r, 0) = static_cast<double>(engine.below(13));
+        points(r, 1) = static_cast<double>(engine.below(14));
+    }
+    return points;
+}
 
 TEST(AgglomerativeTest, SinglePointYieldsEmptyMergeList)
 {
@@ -72,7 +180,23 @@ TEST(AgglomerativeTest, CompleteMatchesBruteForceDefinition)
     for (std::size_t i = 0; i < dist.rows(); ++i)
         for (std::size_t j = i + 1; j < dist.cols(); ++j)
             diameter = std::max(diameter, dist(i, j));
-    EXPECT_NEAR(d.merges().back().height, diameter, 1e-9);
+    EXPECT_EQ(d.merges().back().height, diameter);
+}
+
+TEST(AgglomerativeTest, CompleteHeightsAreFurthestPairDistances)
+{
+    // Every complete-linkage height is exactly the largest point
+    // distance between the two merged clusters.
+    const Matrix points = fleetGrid(80, 5);
+    const Matrix dist = hiermeans::linalg::pairwiseDistances(points);
+    const Dendrogram d = agglomerate(points, Linkage::Complete);
+    for (const Merge &m : d.merges()) {
+        double furthest = 0.0;
+        for (std::size_t a : d.leavesUnder(m.left))
+            for (std::size_t b : d.leavesUnder(m.right))
+                furthest = std::max(furthest, dist(a, b));
+        EXPECT_EQ(m.height, furthest);
+    }
 }
 
 TEST(AgglomerativeTest, FromDistancesValidation)
@@ -103,17 +227,53 @@ TEST(AgglomerativeTest, WardRequiresEuclidean)
 
 TEST(AgglomerativeTest, DeterministicUnderTies)
 {
-    // Four corners of a square: every nearest pair is tied. Two runs
-    // must produce identical merge lists.
+    // Four corners of a square: all four sides tie at 1. Ties go to the
+    // smallest (min id, max id): {0,1} first, then {2,3}, then the two
+    // pairs join at the diagonal.
     const Matrix points = Matrix::fromRows(
         {{0.0, 0.0}, {1.0, 0.0}, {0.0, 1.0}, {1.0, 1.0}});
-    const Dendrogram a = agglomerate(points);
-    const Dendrogram b = agglomerate(points);
-    ASSERT_EQ(a.merges().size(), b.merges().size());
-    for (std::size_t i = 0; i < a.merges().size(); ++i) {
-        EXPECT_EQ(a.merges()[i].left, b.merges()[i].left);
-        EXPECT_EQ(a.merges()[i].right, b.merges()[i].right);
-        EXPECT_DOUBLE_EQ(a.merges()[i].height, b.merges()[i].height);
+    const std::vector<Merge> expected = {
+        {0, 1, 1.0, 2}, {2, 3, 1.0, 2}, {4, 5, std::sqrt(2.0), 4}};
+    EXPECT_TRUE(sameMerges(expected, agglomerate(points).merges()));
+}
+
+class NnCacheDifferential : public ::testing::TestWithParam<Linkage>
+{
+};
+
+TEST_P(NnCacheDifferential, MatchesFullRescanOracle)
+{
+    // 1000 seeded inputs (half uniform reals, half tie-heavy integer
+    // grids), merges compared bit for bit with the O(n^3) oracle.
+    const Linkage linkage = GetParam();
+    for (std::uint64_t seed = 0; seed < 1000; ++seed) {
+        const Matrix points = randomInput(seed, seed % 2 == 1);
+        const Matrix dist = hiermeans::linalg::pairwiseDistances(points);
+        EXPECT_TRUE(sameMerges(oracleMerges(dist, linkage),
+                               agglomerateFromDistances(dist, linkage)
+                                   .merges()))
+            << linkageName(linkage) << " seed " << seed;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllLinkages, NnCacheDifferential,
+    ::testing::Values(Linkage::Single, Linkage::Complete, Linkage::Average,
+                      Linkage::Weighted, Linkage::Ward),
+    [](const ::testing::TestParamInfo<Linkage> &info) {
+        return std::string(linkageName(info.param));
+    });
+
+TEST(AgglomerativeTest, FleetSizeGridMatchesOracle)
+{
+    // 1000 points on 182 grid cells: mostly exact ties, at the size of
+    // generated fleets.
+    for (std::uint64_t seed : {1u, 2u}) {
+        const Matrix dist =
+            hiermeans::linalg::pairwiseDistances(fleetGrid(1000, seed));
+        EXPECT_TRUE(sameMerges(oracleMerges(dist, Linkage::Complete),
+                               agglomerateFromDistances(dist).merges()))
+            << "seed " << seed;
     }
 }
 

@@ -9,6 +9,7 @@
 
 #include "src/linalg/distance.h"
 #include "src/util/error.h"
+#include "src/util/rng.h"
 
 namespace {
 
@@ -78,6 +79,29 @@ TEST(DistanceTest, PairwiseMatrixProperties)
     EXPECT_DOUBLE_EQ(d(0, 1), 5.0);
     EXPECT_DOUBLE_EQ(d(1, 0), 5.0);
     EXPECT_DOUBLE_EQ(d(0, 2), 10.0);
+}
+
+TEST(DistanceTest, PairwiseEqualsPointDistanceBitForBit)
+{
+    hiermeans::rng::Engine engine(7);
+    Matrix points(40, 7);
+    for (std::size_t r = 1; r < points.rows(); ++r) // row 0 stays zero
+        for (std::size_t c = 0; c < points.cols(); ++c)
+            points(r, c) = engine.uniform(-3.0, 3.0);
+    for (Metric m : {Metric::Euclidean, Metric::SquaredEuclidean,
+                     Metric::Manhattan, Metric::Chebyshev,
+                     Metric::Cosine}) {
+        const Matrix d = pairwiseDistances(points, m);
+        for (std::size_t i = 0; i < points.rows(); ++i) {
+            EXPECT_EQ(d(i, i), 0.0);
+            for (std::size_t j = i + 1; j < points.rows(); ++j) {
+                const double expected =
+                    distance(m, points.row(i), points.row(j));
+                EXPECT_EQ(d(i, j), expected) << metricName(m);
+                EXPECT_EQ(d(j, i), expected) << metricName(m);
+            }
+        }
+    }
 }
 
 TEST(DistanceTest, TriangleInequalityForMetricDistances)

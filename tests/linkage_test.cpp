@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "src/cluster/linkage.h"
 #include "src/util/error.h"
 
@@ -50,6 +52,27 @@ TEST(LinkageTest, WardCoefficients)
     EXPECT_DOUBLE_EQ(lw.alphaJ, 8.0 / 10.0);
     EXPECT_DOUBLE_EQ(lw.beta, -5.0 / 10.0);
     EXPECT_DOUBLE_EQ(lw.gamma, 0.0);
+}
+
+TEST(LinkageTest, MergedDistanceIsExactMaxMinForCompleteSingle)
+{
+    // Exact max / min for complete / single, even where the
+    // Lance-Williams form rounds: 0.5a + 0.5b + 0.5|a-b| with a, b an
+    // ulp apart is not always bit-equal to max(a, b).
+    const double a = std::sqrt(2.0);
+    const double b = std::nextafter(a, 10.0);
+    EXPECT_EQ(mergedDistance(Linkage::Complete, 3, 2, 4, a, b, 0.5), b);
+    EXPECT_EQ(mergedDistance(Linkage::Complete, 3, 2, 4, b, a, 0.5), b);
+    EXPECT_EQ(mergedDistance(Linkage::Single, 3, 2, 4, a, b, 0.5), a);
+    EXPECT_EQ(mergedDistance(Linkage::Single, 3, 2, 4, b, a, 0.5), a);
+}
+
+TEST(LinkageTest, MergedDistanceUsesLanceWilliamsOtherwise)
+{
+    for (Linkage l : {Linkage::Average, Linkage::Weighted, Linkage::Ward})
+        EXPECT_EQ(mergedDistance(l, 3, 1, 4, 4.0, 8.0, 1.0),
+                  updateDistance(lanceWilliams(l, 3, 1, 4), 4.0, 8.0, 1.0))
+            << linkageName(l);
 }
 
 TEST(LinkageTest, EmptyClusterThrows)
