@@ -1,9 +1,9 @@
 /**
  * @file
  * Google-benchmark microbenchmarks for the library's hot paths: SOM
- * training, BMU search, agglomerative clustering (including the
- * 1000-workload fleet size), pairwise distances, hierarchical means
- * and the synthetic substrates.
+ * training, BMU search, agglomerative clustering, dendrogram cuts and
+ * the whole cluster analysis (including the 1000-workload fleet size),
+ * pairwise distances, hierarchical means and the synthetic substrates.
  */
 
 #include <benchmark/benchmark.h>
@@ -96,6 +96,21 @@ BM_AgglomerateGrid(benchmark::State &state)
 BENCHMARK(BM_AgglomerateGrid)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 void
+BM_PartitionSweep(benchmark::State &state)
+{
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const cluster::Dendrogram dendrogram =
+        cluster::agglomerate(gridData(n, 3), cluster::Linkage::Complete);
+    const core::PipelineConfig config;
+    for (auto _ : state) {
+        auto partitions =
+            dendrogram.partitionSweep(config.kMin, config.kMax);
+        benchmark::DoNotOptimize(partitions.data());
+    }
+}
+BENCHMARK(BM_PartitionSweep)->Arg(1000)->Unit(benchmark::kMillisecond);
+
+void
 BM_PairwiseDistances(benchmark::State &state)
 {
     const auto n = static_cast<std::size_t>(state.range(0));
@@ -155,6 +170,29 @@ BM_FullPipeline(benchmark::State &state)
     }
 }
 BENCHMARK(BM_FullPipeline);
+
+/**
+ * One generated fleet suite (n workloads x 34 MICA features, 4 planted
+ * clusters) through analyzeClusters with the auto-sized map, as a
+ * fleet-scale suite is analysed.
+ */
+void
+BM_AnalyzeClusters(benchmark::State &state)
+{
+    gen::FamilyConfig family;
+    family.workloads = static_cast<std::size_t>(state.range(0));
+    family.machines = 2;
+    const gen::GeneratedSuite suite = gen::generateSuite(family);
+    const auto vectors = core::characterizeFromMica(suite.features,
+                                                    suite.workloadNames());
+    core::PipelineConfig config;
+    config.autoSizeSom(family.workloads);
+    for (auto _ : state) {
+        auto analysis = core::analyzeClusters(vectors, config);
+        benchmark::DoNotOptimize(analysis.partitions.size());
+    }
+}
+BENCHMARK(BM_AnalyzeClusters)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 void
 BM_Calibration(benchmark::State &state)

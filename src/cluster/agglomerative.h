@@ -24,6 +24,24 @@
  * its cached key. That is O(n^2) time on typical inputs (O(n^3) worst
  * case, when many rows cache the same partner) and O(n^2) memory for
  * the distance matrix.
+ *
+ * Identical rows. Under complete and single linkage with the Euclidean,
+ * squared Euclidean, Manhattan or Chebyshev metric, identical rows are
+ * at distance exactly 0 and a merged distance is an exact max / min, so
+ * agglomerate() clusters each set of identical rows as one point: SOM
+ * grid positions, for instance, occupy at most rows x cols cells however
+ * many workloads map onto them. It groups the rows with a lexicographic
+ * sort and emits the height-0 merges without a distance matrix. Inside a
+ * group every pair ties at (0, min id, max id), so the group's two
+ * lowest live ids merge first and the new node, the newest id, joins
+ * the back of the group's FIFO queue; across groups, the queue with the
+ * lowest front id merges next. The loop above then runs on the m
+ * distinct rows, each starting as its group's final node, with new ids
+ * from n + (n - m). The merge list is bit-identical to clustering the
+ * rows one by one. If two distinct rows are at distance 0 or infinity
+ * (a squared subnormal difference underflows, a huge one overflows),
+ * the rows are clustered one by one. Average, weighted and Ward linkage
+ * and the cosine metric always cluster the rows one by one.
  */
 
 #ifndef HIERMEANS_CLUSTER_AGGLOMERATIVE_H
@@ -38,9 +56,11 @@ namespace hiermeans {
 namespace cluster {
 
 /**
- * Cluster the rows of @p points.
+ * Cluster the rows of @p points (identical rows as one point where the
+ * merge list allows it; see above).
  *
- * @param points n x d observations (n >= 1).
+ * @param points n x d observations (n >= 1), every coordinate finite;
+ *        a NaN or infinite coordinate throws InvalidArgument.
  * @param linkage cluster-to-cluster distance criterion.
  * @param metric point-to-point distance (the paper uses Euclidean).
  */

@@ -35,9 +35,49 @@ class UnionFind
         parent_[find(a)] = find(b);
     }
 
+    /** The components as a partition of the leaves. */
+    scoring::Partition
+    partition()
+    {
+        std::vector<std::size_t> labels(parent_.size());
+        for (std::size_t i = 0; i < labels.size(); ++i)
+            labels[i] = find(i);
+        return scoring::Partition::fromLabels(labels);
+    }
+
   private:
     std::vector<std::size_t> parent_;
 };
+
+/**
+ * Lowest leaf under every node id: a merge's lowest leaf is the lower
+ * of its two children's. One pass over the merges.
+ */
+std::vector<std::size_t>
+lowestLeaves(std::size_t num_leaves, const std::vector<Merge> &merges)
+{
+    std::vector<std::size_t> lowest(num_leaves + merges.size());
+    for (std::size_t i = 0; i < num_leaves; ++i)
+        lowest[i] = i;
+    for (std::size_t m = 0; m < merges.size(); ++m)
+        lowest[num_leaves + m] =
+            std::min(lowest[merges[m].left], lowest[merges[m].right]);
+    return lowest;
+}
+
+/**
+ * Partition from applying the first @p applied merges, each joining
+ * the lowest leaves of its two children.
+ */
+scoring::Partition
+cutAfter(std::size_t num_leaves, const std::vector<Merge> &merges,
+         const std::vector<std::size_t> &lowest, std::size_t applied)
+{
+    UnionFind uf(num_leaves);
+    for (std::size_t m = 0; m < applied; ++m)
+        uf.unite(lowest[merges[m].left], lowest[merges[m].right]);
+    return uf.partition();
+}
 
 } // namespace
 
@@ -118,34 +158,22 @@ Dendrogram::cutAtCount(std::size_t k) const
     HM_REQUIRE(k >= 1 && k <= numLeaves_,
                "cutAtCount: k " << k << " outside [1, " << numLeaves_
                                 << "]");
-    UnionFind uf(numLeaves_);
-    // Apply the first (numLeaves_ - k) merges.
-    const std::size_t applied = numLeaves_ - k;
-    for (std::size_t m = 0; m < applied; ++m) {
-        const std::size_t left_leaf = leavesUnder(merges_[m].left).front();
-        const std::size_t right_leaf =
-            leavesUnder(merges_[m].right).front();
-        uf.unite(left_leaf, right_leaf);
-    }
-    std::vector<std::size_t> labels(numLeaves_);
-    for (std::size_t i = 0; i < numLeaves_; ++i)
-        labels[i] = uf.find(i);
-    return scoring::Partition::fromLabels(labels);
+    return cutAfter(numLeaves_, merges_, lowestLeaves(numLeaves_, merges_),
+                    numLeaves_ - k);
 }
 
 scoring::Partition
 Dendrogram::cutAtDistance(double distance) const
 {
+    const std::vector<std::size_t> lowest =
+        lowestLeaves(numLeaves_, merges_);
     UnionFind uf(numLeaves_);
     for (const Merge &m : merges_) {
         if (m.height > distance)
             continue;
-        uf.unite(leavesUnder(m.left).front(), leavesUnder(m.right).front());
+        uf.unite(lowest[m.left], lowest[m.right]);
     }
-    std::vector<std::size_t> labels(numLeaves_);
-    for (std::size_t i = 0; i < numLeaves_; ++i)
-        labels[i] = uf.find(i);
-    return scoring::Partition::fromLabels(labels);
+    return uf.partition();
 }
 
 std::size_t
@@ -163,10 +191,12 @@ Dendrogram::partitionSweep(std::size_t k_min, std::size_t k_max) const
                                                                << ", "
                                                                << k_max
                                                                << "]");
+    const std::vector<std::size_t> lowest =
+        lowestLeaves(numLeaves_, merges_);
     std::vector<scoring::Partition> out;
     out.reserve(k_max - k_min + 1);
     for (std::size_t k = k_min; k <= k_max; ++k)
-        out.push_back(cutAtCount(k));
+        out.push_back(cutAfter(numLeaves_, merges_, lowest, numLeaves_ - k));
     return out;
 }
 

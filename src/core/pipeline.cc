@@ -55,7 +55,7 @@ analyzeClusters(const CharacteristicVectors &vectors,
                                              config.som);
     }();
     std::vector<std::size_t> bmus = map.bmuAll(vectors.features);
-    linalg::Matrix positions = map.mapAll(vectors.features);
+    linalg::Matrix positions = map.locate(bmus);
 
     obs::ScopedSpan clusterSpan("pipeline.cluster");
     cluster::Dendrogram dendrogram =

@@ -269,9 +269,15 @@ SelfOrganizingMap::mapToGrid(const linalg::Vector &x) const
 linalg::Matrix
 SelfOrganizingMap::mapAll(const linalg::Matrix &data) const
 {
-    linalg::Matrix out(data.rows(), 2);
-    for (std::size_t r = 0; r < data.rows(); ++r) {
-        const GridPoint p = mapToGrid(data.row(r));
+    return locate(bmuAll(data));
+}
+
+linalg::Matrix
+SelfOrganizingMap::locate(const std::vector<std::size_t> &units) const
+{
+    linalg::Matrix out(units.size(), 2);
+    for (std::size_t r = 0; r < units.size(); ++r) {
+        const GridPoint p = topology_.location(units[r]);
         out(r, 0) = p.x;
         out(r, 1) = p.y;
     }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/cluster/agglomerative.h"
+#include "src/som/topology.h"
 #include "src/util/error.h"
 #include "src/util/rng.h"
 
@@ -21,6 +22,7 @@ namespace {
 using namespace hiermeans::cluster;
 using hiermeans::InvalidArgument;
 using hiermeans::linalg::Matrix;
+using hiermeans::linalg::Metric;
 using hiermeans::linalg::Vector;
 using hiermeans::scoring::Partition;
 
@@ -274,6 +276,192 @@ TEST(AgglomerativeTest, FleetSizeGridMatchesOracle)
         EXPECT_TRUE(sameMerges(oracleMerges(dist, Linkage::Complete),
                                agglomerateFromDistances(dist).merges()))
             << "seed " << seed;
+    }
+}
+
+/** Merges of clustering the rows of @p points one by one. */
+std::vector<Merge>
+oneByOne(const Matrix &points, Linkage linkage, Metric metric)
+{
+    return agglomerateFromDistances(
+               hiermeans::linalg::pairwiseDistances(points, metric), linkage)
+        .merges();
+}
+
+/**
+ * Seeded SOM grid positions: n workloads (mostly up to 200, one seed in
+ * ten up to 1000) placed on the cells of a random rectangular or
+ * hexagonal map of at most 14 x 15 cells, so most positions repeat.
+ */
+Matrix
+mapPositions(std::uint64_t seed)
+{
+    hiermeans::rng::Engine engine(seed);
+    const std::size_t n = 1 + engine.below(seed % 10 == 0 ? 1000 : 200);
+    const hiermeans::som::GridTopology topology(
+        2 + engine.below(13), 2 + engine.below(14),
+        seed % 2 == 0 ? hiermeans::som::GridKind::Rectangular
+                      : hiermeans::som::GridKind::Hexagonal);
+    Matrix points(n, 2);
+    for (std::size_t r = 0; r < n; ++r) {
+        const auto p = topology.location(engine.below(topology.unitCount()));
+        points(r, 0) = p.x;
+        points(r, 1) = p.y;
+    }
+    return points;
+}
+
+class GroupedRowsDifferential
+    : public ::testing::TestWithParam<std::tuple<Linkage, Metric>>
+{
+};
+
+TEST_P(GroupedRowsDifferential, MatchesOneByOne)
+{
+    // Clustering identical rows as one point gives the merge list of
+    // clustering every row, bit for bit.
+    const auto [linkage, metric] = GetParam();
+    for (std::uint64_t seed = 0; seed < 100; ++seed) {
+        const Matrix points = mapPositions(seed);
+        EXPECT_TRUE(sameMerges(oneByOne(points, linkage, metric),
+                               agglomerate(points, linkage, metric)
+                                   .merges()))
+            << "seed " << seed << ", n " << points.rows();
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ExactMetrics, GroupedRowsDifferential,
+    ::testing::Combine(::testing::Values(Linkage::Complete, Linkage::Single),
+                       ::testing::Values(Metric::Euclidean,
+                                         Metric::SquaredEuclidean,
+                                         Metric::Manhattan,
+                                         Metric::Chebyshev)),
+    [](const auto &info) {
+        return std::string(linkageName(std::get<0>(info.param))) + "_" +
+               hiermeans::linalg::metricName(std::get<1>(info.param));
+    });
+
+TEST(AgglomerativeTest, AllRowsEqualMergeInFifoOrder)
+{
+    // One group: each merge joins the two lowest live ids at height 0.
+    const Matrix five(5, 2, 3.5);
+    const std::vector<Merge> expected = {
+        {0, 1, 0.0, 2}, {2, 3, 0.0, 2}, {4, 5, 0.0, 3}, {6, 7, 0.0, 5}};
+    EXPECT_TRUE(sameMerges(expected, agglomerate(five).merges()));
+
+    const Matrix many(1000, 2, -1.0);
+    EXPECT_TRUE(sameMerges(oneByOne(many, Linkage::Complete,
+                                    Metric::Euclidean),
+                           agglomerate(many).merges()));
+}
+
+TEST(AgglomerativeTest, GroupsInterleaveByLowestFrontId)
+{
+    // Rows 0, 2, 4 share a cell and rows 1, 3 another: the height-0
+    // merges alternate between the groups by their lowest live id.
+    const Matrix points =
+        Matrix::fromRows({{0.0}, {7.0}, {0.0}, {7.0}, {0.0}, {3.0}});
+    const std::vector<Merge> expected = {{0, 2, 0.0, 2},
+                                         {1, 3, 0.0, 2},
+                                         {4, 6, 0.0, 3},
+                                         {5, 8, 3.0, 4},
+                                         {7, 9, 7.0, 6}};
+    const Dendrogram d = agglomerate(points);
+    EXPECT_TRUE(sameMerges(expected, d.merges()));
+    EXPECT_TRUE(sameMerges(
+        oneByOne(points, Linkage::Complete, Metric::Euclidean), d.merges()));
+}
+
+TEST(AgglomerativeTest, NoDuplicatesMatchesOneByOne)
+{
+    for (std::uint64_t seed = 0; seed < 50; ++seed) {
+        const Matrix points = randomInput(seed, false);
+        for (Linkage linkage : {Linkage::Complete, Linkage::Single})
+            EXPECT_TRUE(sameMerges(
+                oneByOne(points, linkage, Metric::Euclidean),
+                agglomerate(points, linkage).merges()))
+                << linkageName(linkage) << " seed " << seed;
+    }
+}
+
+TEST(AgglomerativeTest, DistinctRowsAtDistanceZeroAreNotGrouped)
+{
+    // 1e-200 apart, the squared difference underflows to 0: the rows
+    // are distinct but at distance 0, so grouping them by value would
+    // change the tie order. The one-by-one merge list must come out.
+    const Matrix points = Matrix::fromRows(
+        {{0.0}, {1e-200}, {0.0}, {1e-200}, {5.0}, {1e-200}});
+    for (Metric metric : {Metric::SquaredEuclidean, Metric::Euclidean}) {
+        for (Linkage linkage : {Linkage::Complete, Linkage::Single}) {
+            const std::vector<Merge> expected =
+                oneByOne(points, linkage, metric);
+            ASSERT_EQ(expected[0].left, 0u);
+            ASSERT_EQ(expected[0].right, 1u);
+            EXPECT_TRUE(sameMerges(expected,
+                                   agglomerate(points, linkage, metric)
+                                       .merges()))
+                << hiermeans::linalg::metricName(metric) << " "
+                << linkageName(linkage);
+        }
+    }
+}
+
+TEST(AgglomerativeTest, InfiniteDistanceBetweenRowsFailsAsOneByOne)
+{
+    // Finite rows whose distance overflows take the one-by-one path,
+    // which rejects the infinite distance.
+    const Matrix points = Matrix::fromRows({{1e300}, {-1e300}, {1e300}});
+    EXPECT_THROW(oneByOne(points, Linkage::Complete, Metric::Euclidean),
+                 InvalidArgument);
+    EXPECT_THROW(agglomerate(points), InvalidArgument);
+}
+
+TEST(AgglomerativeTest, OtherLinkagesAndCosineClusterRowByRow)
+{
+    // Average, weighted and Ward merge by the Lance-Williams recurrence
+    // and cosine puts identical rows at a rounded distance, so these
+    // cluster every row; duplicate-heavy inputs must match that path.
+    const std::vector<std::tuple<Linkage, Metric>> cases = {
+        {Linkage::Average, Metric::Euclidean},
+        {Linkage::Weighted, Metric::Manhattan},
+        {Linkage::Ward, Metric::Euclidean},
+        {Linkage::Complete, Metric::Cosine},
+        {Linkage::Single, Metric::Cosine}};
+    for (std::uint64_t seed = 1; seed < 40; seed += 2) {
+        Matrix points = mapPositions(seed);
+        for (std::size_t r = 0; r < points.rows(); ++r)
+            points(r, 0) += 1.0; // keep cosine away from the origin.
+        for (const auto &[linkage, metric] : cases)
+            EXPECT_TRUE(sameMerges(oneByOne(points, linkage, metric),
+                                   agglomerate(points, linkage, metric)
+                                       .merges()))
+                << linkageName(linkage) << " "
+                << hiermeans::linalg::metricName(metric) << " seed "
+                << seed;
+    }
+}
+
+TEST(AgglomerativeTest, NonFiniteCoordinatesAreRejected)
+{
+    const double bad[] = {std::nan(""), HUGE_VAL, -HUGE_VAL};
+    for (double value : bad) {
+        for (std::size_t n : {1u, 2u, 5u}) {
+            Matrix points(n, 2, 1.0);
+            points(n - 1, 1) = value;
+            for (Linkage linkage :
+                 {Linkage::Single, Linkage::Complete, Linkage::Average,
+                  Linkage::Weighted})
+                for (Metric metric :
+                     {Metric::Euclidean, Metric::SquaredEuclidean,
+                      Metric::Manhattan, Metric::Chebyshev, Metric::Cosine})
+                    EXPECT_THROW(agglomerate(points, linkage, metric),
+                                 InvalidArgument)
+                        << value << " n " << n << " "
+                        << linkageName(linkage) << " "
+                        << hiermeans::linalg::metricName(metric);
+            EXPECT_THROW(agglomerate(points, Linkage::Ward), InvalidArgument);
+        }
     }
 }
 

@@ -10,6 +10,7 @@
 #include "src/cluster/agglomerative.h"
 #include "src/cluster/dendrogram.h"
 #include "src/util/error.h"
+#include "src/util/rng.h"
 
 namespace {
 
@@ -134,6 +135,69 @@ TEST(DendrogramTest, CutsNestHierarchically)
             const std::size_t target = coarse.label(cluster.front());
             for (std::size_t member : cluster)
                 EXPECT_EQ(coarse.label(member), target);
+        }
+    }
+}
+
+/**
+ * Reference cut: union-find over the leaves, joining the lowest leaf
+ * under each side of every applied merge, found with leavesUnder().
+ */
+Partition
+oracleCut(const Dendrogram &d, std::size_t applied)
+{
+    std::vector<std::size_t> parent(d.leafCount());
+    for (std::size_t i = 0; i < parent.size(); ++i)
+        parent[i] = i;
+    const auto find = [&](std::size_t x) {
+        while (parent[x] != x) {
+            parent[x] = parent[parent[x]];
+            x = parent[x];
+        }
+        return x;
+    };
+    for (std::size_t m = 0; m < applied; ++m) {
+        const Merge &merge = d.merges()[m];
+        const std::size_t a = find(d.leavesUnder(merge.left).front());
+        parent[a] = find(d.leavesUnder(merge.right).front());
+    }
+    std::vector<std::size_t> labels(parent.size());
+    for (std::size_t i = 0; i < labels.size(); ++i)
+        labels[i] = find(i);
+    return Partition::fromLabels(labels);
+}
+
+TEST(DendrogramTest, PartitionSweepMatchesLeavesUnderOracle)
+{
+    // Seeded 2-D grid inputs from 2 to 1000 points (many ties, so the
+    // merge trees are deep and unbalanced).
+    for (std::uint64_t seed = 0; seed < 12; ++seed) {
+        hiermeans::rng::Engine engine(seed);
+        const std::size_t n =
+            seed == 0 ? 1000 : 2 + engine.below(seed % 3 == 0 ? 999 : 80);
+        Matrix points(n, 2);
+        for (std::size_t r = 0; r < n; ++r) {
+            points(r, 0) = static_cast<double>(engine.below(13));
+            points(r, 1) = static_cast<double>(engine.below(14));
+        }
+        const Dendrogram d = agglomerate(points);
+        const std::size_t k_max = std::min<std::size_t>(n, 12);
+        const std::vector<Partition> sweep = d.partitionSweep(1, k_max);
+        ASSERT_EQ(sweep.size(), k_max);
+        for (std::size_t k = 1; k <= k_max; ++k) {
+            const Partition expected = oracleCut(d, n - k);
+            EXPECT_EQ(sweep[k - 1], expected) << "seed " << seed << " k " << k;
+            EXPECT_EQ(d.cutAtCount(k), expected)
+                << "seed " << seed << " k " << k;
+        }
+        for (std::size_t m = 0; m < d.merges().size(); m += 1 + n / 10) {
+            const double h = d.merges()[m].height;
+            std::size_t applied = 0;
+            while (applied < d.merges().size() &&
+                   d.merges()[applied].height <= h)
+                ++applied;
+            EXPECT_EQ(d.cutAtDistance(h), oracleCut(d, applied))
+                << "seed " << seed << " height " << h;
         }
     }
 }

@@ -67,6 +67,25 @@ TEST(PipelineTest, ProducesConsistentArtifacts)
         EXPECT_EQ(analysis.partitions[i].clusterCount(), i + 2);
 }
 
+TEST(PipelineTest, GridPositionsEqualMapAll)
+{
+    // The positions come from the one BMU pass; they must be what a
+    // separate mapAll() pass gives, on both grid kinds.
+    const CharacteristicVectors cv = groupedVectors();
+    for (auto kind : {hiermeans::som::GridKind::Rectangular,
+                      hiermeans::som::GridKind::Hexagonal}) {
+        PipelineConfig config = fastConfig();
+        config.som.grid = kind;
+        const ClusterAnalysis analysis = analyzeClusters(cv, config);
+        const Matrix mapped = analysis.map.mapAll(cv.features);
+        ASSERT_EQ(analysis.gridPositions.rows(), mapped.rows());
+        for (std::size_t r = 0; r < mapped.rows(); ++r)
+            for (std::size_t c = 0; c < 2; ++c)
+                EXPECT_EQ(analysis.gridPositions(r, c), mapped(r, c))
+                    << "row " << r;
+    }
+}
+
 TEST(PipelineTest, ThreeGroupsRecoveredAtKEqualsThree)
 {
     const CharacteristicVectors cv = groupedVectors();
